@@ -42,12 +42,30 @@ PROGRAMS = {p.name: p for p in (
             (100, 50, 4, 64), 8, 12),
 )}
 
-#: Programs of each pull workload.  The three shared ones let a reader
-#: compare ``auto`` against ``none`` directly.
-PULL_PROGRAMS = {
-    "pull-auto": ("FIR", "FilterBank", "FMRadio"),
-    "pull-none": ("FIR", "FilterBank", "FMRadio", "Radar", "Vocoder"),
-}
+@dataclass(frozen=True)
+class Case:
+    """One program compiled in one ``optimize`` mode: a live session of
+    the pull workload."""
+
+    program: Program
+    mode: str
+
+    @property
+    def label(self) -> str:
+        """``<mode>.<program>``, the suffix of its per-layer metrics."""
+        return f"{self.mode}.{self.program.name}"
+
+
+#: The pull workload's sessions.  Under ``auto`` the rate simulator in
+#: ``repro.exec.planner`` does most of the work; under ``none`` the scalar
+#: ``FallbackStep`` kernels do.  The three programs compiled both ways let
+#: a reader compare ``auto`` against ``none`` directly.
+PULL_CASES = tuple(
+    Case(PROGRAMS[name], mode) for mode, names in (
+        ("auto", ("FIR", "FilterBank", "FMRadio")),
+        ("none", ("FIR", "FilterBank", "FMRadio", "Radar", "Vocoder")))
+    for name in names)
+MODES = ("auto", "none")
 
 #: Registry apps opened by the serve workload, in seeded order.
 SERVE_APPS = ("FIR", "FilterBank")
@@ -61,6 +79,12 @@ _GROUP_OF_KIND = {"fallback": "fallback", "matmul": "matmul",
 
 def kernel_group(kind: str) -> str:
     return _GROUP_OF_KIND.get(kind, "other")
+
+
+def kernel_groups(mode: str) -> tuple:
+    """The groups a mode's plans can hold: no frequency kernels without
+    the ``auto`` rewrite."""
+    return tuple(g for g in KERNEL_GROUPS if mode == "auto" or g != "freq")
 
 
 def dsl_source(program: Program) -> str:
@@ -102,6 +126,19 @@ class Sizes:
 
 def quantile(values, q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), 100 * q))
+
+
+#: a tail quantile is taken no higher than leaves this many samples
+#: beyond it
+TAIL_SAMPLES = 10
+
+
+def tail_quantile(values, q: float) -> float:
+    """The ``q`` quantile, or the highest one with ``TAIL_SAMPLES`` values
+    beyond it when there are too few for ``q`` (never below the median):
+    the p99 of 60 samples would read their maximum."""
+    n = len(values)
+    return quantile(values, max(0.5, min(q, 1.0 - TAIL_SAMPLES / n)))
 
 
 def geomean(values) -> float:
@@ -164,24 +201,32 @@ END_TO_END = {"setup_s": "s", "us_per_output": "us",
 
 def per_layer_catalogue() -> dict:
     """Every per-layer metric (``--trace 1``), name -> unit.  A workload
-    reports 0 for the programs it does not run.
+    reports 0 for the metrics of layers it does not run.
 
-    Which end-to-end metric each layer should move, and where:
+    Per-session metrics end in ``.<mode>.<program>`` (a pull session);
+    phases and kernels a mode never runs (linear analysis, selection and
+    frequency kernels under ``none``) are left out, and kernel call
+    counts are summed per mode, to stay within 128 metrics.  Which
+    end-to-end metric each layer should move, and where:
 
-    * ``dsl.load_s``, ``exec.plan_build_s`` -> ``setup_s``, pull workloads
-      (the server's own compile shows as ``serve.compile_s``);
+    * ``dsl.load_s``, ``exec.plan_build_s`` -> ``setup_s`` on pull (the
+      server's own compile shows as ``serve.compile_s``);
     * ``linear.analyze_s``, ``selection.select_s``, ``exec.optimize_s``
-      -> ``setup_s`` on pull-auto, about 0 elsewhere;
+      -> ``setup_s`` on pull, its ``auto`` sessions.  Under ``auto``,
+      ``optimize_stream`` is exactly linear analysis plus the selection
+      DP, so ``exec.optimize_s`` is their sum, not a layer of its own;
     * ``exec.plan_cache.hit_ratio`` -> ``setup_s`` and ``request_ms_p99``
-      on serve-push;
+      on serve-push (0 on pull, which clears the caches before each
+      compile);
     * ``exec.schedule_us_per_output``, ``exec.schedule_share`` (advance
-      time outside every step) -> ``us_per_output`` on pull-auto, small on
-      pull-none;
+      time outside every step) -> ``us_per_output`` on pull, its
+      ``auto`` sessions; small on its ``none`` sessions;
     * ``exec.kernels.<group>_us_per_output`` -> ``us_per_output`` on
-      pull-none, where ``fallback`` dominates;
-    * ``exec.kernels.calls`` and ``firings_per_call`` (the batching) and
-      ``selection.flops_per_output``, ``selection.fallback_steps`` explain
-      ``us_per_output``;
+      pull, its ``none`` sessions, where ``fallback`` dominates;
+    * ``exec.kernels.calls.<group>.<mode>`` (calls per 1000 outputs) and
+      ``exec.kernels.firings_per_call.<group>.<mode>`` (the batching),
+      ``selection.flops_per_output`` and ``selection.fallback_steps``
+      explain ``us_per_output``;
     * ``serve.exec_ms_mean`` (server execution per request, from STATS)
       and ``serve.wire_ms_mean`` (the client's mean push latency minus
       it) -> ``request_ms_p50``/``request_ms_p99`` on serve-push, with
@@ -190,20 +235,25 @@ def per_layer_catalogue() -> dict:
     * ``trace.overhead_ratio`` is traced over untraced ``us_per_output``.
     """
     names = {}
-    for n in PROGRAMS:
-        for phase in ("dsl.load_s", "linear.analyze_s",
-                      "selection.select_s", "exec.optimize_s",
-                      "exec.plan_build_s"):
+    for c in PULL_CASES:
+        n = c.label
+        phases = ["dsl.load_s", "exec.plan_build_s"]
+        if c.mode == "auto":
+            phases += ["linear.analyze_s", "selection.select_s",
+                       "exec.optimize_s"]
+        for phase in phases:
             names[f"{phase}.{n}"] = "s"
         names[f"exec.plan_cache.hit_ratio.{n}"] = "ratio"
         names[f"exec.schedule_us_per_output.{n}"] = "us"
         names[f"exec.schedule_share.{n}"] = "ratio"
-        for g in KERNEL_GROUPS:
+        for g in kernel_groups(c.mode):
             names[f"exec.kernels.{g}_us_per_output.{n}"] = "us"
-            names[f"exec.kernels.calls.{g}.{n}"] = "calls/kout"
-            names[f"exec.kernels.firings_per_call.{g}.{n}"] = "firings"
         names[f"selection.flops_per_output.{n}"] = "flops"
         names[f"selection.fallback_steps.{n}"] = "count"
+    for mode in MODES:
+        for g in kernel_groups(mode):
+            names[f"exec.kernels.calls.{g}.{mode}"] = "calls/kout"
+            names[f"exec.kernels.firings_per_call.{g}.{mode}"] = "firings"
     for n in SERVE_APPS:
         names[f"serve.exec_ms_mean.{n}"] = "ms"
         names[f"serve.wire_ms_mean.{n}"] = "ms"

@@ -1,34 +1,48 @@
-"""The pull workloads: programs compiled from DSL source and advanced with
-resumed ``run(n)`` calls.
+"""The pull workload: programs compiled from DSL source and advanced with
+resumed ``run(n)`` calls, each session a :class:`~perfbench.common.Case`.
 
-``pull-auto`` compiles with ``optimize="auto"``; there the rate simulator
-in ``repro.exec.planner`` does most of the work.  ``pull-none`` compiles
-with ``optimize="none"``; there the scalar ``FallbackStep`` kernels do.
+Its ``auto`` sessions compile with ``optimize="auto"``; there the rate
+simulator in ``repro.exec.planner`` does most of the work.  Its ``none``
+sessions compile with ``optimize="none"``; there the scalar
+``FallbackStep`` kernels do.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 
 import numpy as np
 
-from .common import (KERNEL_GROUPS, PROGRAMS, PULL_PROGRAMS, Outcome,
-                     Sizes, dsl_source, geomean, kernel_group,
+from .common import (KERNEL_GROUPS, MODES, PULL_CASES, Outcome, Sizes,
+                     dsl_source, geomean, kernel_group, kernel_groups,
                      outputs_match, peak_rss_mb, plan_steps, quantile,
-                     step_kinds)
+                     step_kinds, tail_quantile)
 from .spans import Tracer
 
-#: Cold compiles per program; set-up time is their median.
-SETUP_REPEATS = 5
-#: Advances run before timing starts (their outputs are still checked).
-WARMUP_ADVANCES = 2
-#: Length of one program's measuring slice within a round.
+#: Cold compiles per session; set-up time is the sum of their medians.
+#: One round runs before timing starts, the rest spread evenly over the
+#: timed run (outside every slice), so set-up samples the same spells of
+#: a shared machine as the advances do.
+SETUP_REPEATS = 7
+#: Cold compiles per session in a traced run, all before timing starts.
+TRACED_SETUP_REPEATS = 5
+#: Advances run before timing starts.  Their outputs, together, must
+#: match one ``run(total)`` of a second session (the resumable
+#: contract), so the check crosses ``WARMUP_ADVANCES - 1`` resume
+#: boundaries; their prefix is also checked against the interp reference.
+WARMUP_ADVANCES = 4
+#: Length of one session's measuring slice within a round.
 SLICE_S = 0.5
-#: Steady time per output is taken over windows of consecutive advances
-#: lasting at least this long: one advance often computes outputs that
-#: the next few only hand out (the planner simulates whole passes), so
-#: single advances are bimodal in cost.
+#: The tail of time per output is taken over windows of consecutive
+#: advances lasting at least this long: one advance often computes
+#: outputs that the next few only hand out (the planner simulates whole
+#: passes), so single advances are bimodal in cost.  Steady time per
+#: output is all measured time over all outputs, not the median window:
+#: a shared machine's speed flips between states for seconds at a time,
+#: and a median jumps between them where the mean moves with their
+#: shares (over the same runs, IQR/median of 0.16 against 0.23).
 WINDOW_S = 0.05
 #: A workload's layers count as separated when the dominant layer's
 #: share of the traced advance time is at least this.
@@ -43,15 +57,16 @@ def _clear_caches() -> None:
     clear_plan_cache()
 
 
-def _compile(program, mode: str):
+def _compile(case):
     """Cold compile from source text, the way a user calls it."""
     import repro
 
+    program = case.program
     return repro.compile(dsl_source(program), top=program.top,
-                         args=program.args, optimize=mode, dtype="f64")
+                         args=program.args, optimize=case.mode, dtype="f64")
 
 
-def _compile_phases(program, mode: str, tracer: Tracer):
+def _compile_phases(case, tracer: Tracer):
     """The same compile, one public call per phase, each in a span."""
     import repro
     from repro.dsl import load_source
@@ -61,21 +76,25 @@ def _compile_phases(program, mode: str, tracer: Tracer):
     from repro.numeric import resolve_policy
     from repro.selection import select_optimizations
 
-    run = f"{program.name}/setup"
+    program, mode = case.program, case.mode
+    run = f"{case.label}/setup"
     policy = resolve_policy("f64")
     text = dsl_source(program)
     with tracer.span("dsl.load", run):
         stream = load_source(text, program.top, *program.args,
                              fingerprint=True)
     if mode == "auto":
-        # standalone calls: optimize_stream repeats both internally
+        # optimize_stream(stream, "auto") is exactly these two calls, so
+        # exec.optimize_s is reported as their sum (see _report_layers)
         with tracer.span("linear.analyze", run):
             lmap = analyze(stream)
         with tracer.span("selection.select", run):
-            select_optimizations(stream, lmap, cost_model="batched",
-                                 stateful=True, policy=policy)
-    with tracer.span("exec.optimize", run):
-        optimized = optimize_stream(stream, mode, policy=policy)
+            optimized = select_optimizations(
+                stream, lmap, cost_model="batched", stateful=True,
+                policy=policy).stream
+    else:
+        with tracer.span("exec.optimize", run):
+            optimized = optimize_stream(stream, mode, policy=policy)
     before = plan_cache_stats()
     with tracer.span("exec.plan_build", run):
         session = repro.compile(optimized, optimize="none", dtype="f64")
@@ -86,35 +105,38 @@ def _compile_phases(program, mode: str, tracer: Tracer):
 
 
 class _Stream:
-    """One program's live session, its reference prefix and the advance
+    """One case's live session, its reference prefix and the advance
     sizes drawn for it."""
 
-    def __init__(self, program, session, reference, rng):
-        self.program = program
+    def __init__(self, case, session, reference, rng):
+        self.name = case.label
         self.session = session
         self.reference = reference
-        self.sizes = Sizes(rng, program.advance)
+        self.sizes = Sizes(rng, case.program.advance)
         self.produced = 0
         self.dead = False
 
-    def advance(self, out: Outcome):
-        """One resumed ``run(n)``; returns ``(seconds, n)`` or None."""
+    def advance(self, out: Outcome, keep: list | None = None):
+        """One resumed ``run(n)``; returns ``(seconds, n)`` or None.
+        The outputs are appended to ``keep`` when it is given."""
         n = self.sizes.next()
         t0 = time.perf_counter()
         try:
             got = self.session.run(n)
         except Exception as exc:  # counted, and this stream stops here
             self.dead = True
-            out.op(False, f"{self.program.name} run({n}): {exc!r}")
+            out.op(False, f"{self.name} run({n}): {exc!r}")
             return None
         dt = time.perf_counter() - t0
+        if keep is not None:
+            keep.append(got)
         lo = self.produced
         self.produced += n
         ok = len(got) == n
         if ok and lo < len(self.reference):
             ref = self.reference[lo:lo + n]
             ok = outputs_match(got[:len(ref)], ref, self.session.policy)
-        out.op(ok, f"{self.program.name} outputs {lo}..{lo + n} differ "
+        out.op(ok, f"{self.name} outputs {lo}..{lo + n} differ "
                    "from the interp reference")
         return dt, n
 
@@ -131,46 +153,76 @@ def _measure(stream: _Stream, deadline: float, out: Outcome) -> list:
     return samples
 
 
-def _slices(streams, seconds: float, per_program: int = 1):
-    """Yield ``(stream, slice index, deadline)``: programs take turns,
-    ``per_program`` slices each per round, so a slow spell of a shared
+def _slices(streams, seconds: float, per_session: int = 1, between=None):
+    """Yield ``(stream, slice index, deadline)``: sessions take turns,
+    ``per_session`` slices each per round, so a slow spell of a shared
     machine hits all of them alike.  Deadlines are fixed from the start,
-    so an advance that overruns one slice shortens the next."""
+    so an advance that overruns one slice shortens the next.
+    ``between(r, rounds)``, if given, runs before round ``r``; its time
+    is not measured (the deadlines move by it)."""
     rounds = max(1, round(seconds / (SLICE_S * len(streams))))
-    count = rounds * len(streams) * per_program
+    count = rounds * len(streams) * per_session
     start = time.perf_counter()
     k = 0
-    for _ in range(rounds):
+    for r in range(rounds):
+        if between is not None:
+            t0 = time.perf_counter()
+            between(r, rounds)
+            start += time.perf_counter() - t0
         for s in streams:
-            for j in range(per_program):
+            for j in range(per_session):
                 k += 1
                 yield s, j, start + seconds * k / count
 
 
-def _warm(programs, mode: str) -> None:
-    """Compile each program once untimed: set-up is measured in a warm
+def _warm(cases) -> None:
+    """Compile each case once untimed: set-up is measured in a warm
     interpreter (lazy imports done), with the caches cleared."""
-    for p in programs:
+    for c in cases:
         _clear_caches()
-        _compile(p, mode).close()
+        _compile(c).close()
 
 
-def _setup(programs, mode: str, out: Outcome) -> tuple[float, dict]:
-    """Median-of-repeats cold compile per program, summed; returns the
-    set-up time and the last session of each program."""
-    _warm(programs, mode)
-    sessions = {}
-    times = {p.name: [] for p in programs}
-    for _ in range(SETUP_REPEATS):
-        for p in programs:
+class _Setup:
+    """Timed cold compiles, a round of every case at a time; set-up time
+    is the sum over cases of each one's median."""
+
+    def __init__(self, cases, out: Outcome):
+        self.cases = cases
+        self.out = out
+        self.times = {c.label: [] for c in cases}
+        _warm(cases)
+
+    def round(self, keep: bool = False) -> dict:
+        """One cold compile of each case; returns the sessions when
+        ``keep``, else closes them."""
+        sessions = {}
+        for c in self.cases:
             _clear_caches()
-            if p.name in sessions:
-                sessions[p.name].close()
+            gc.collect()  # garbage of earlier work is not set-up's cost
             t0 = time.perf_counter()
-            sessions[p.name] = _compile(p, mode)
-            times[p.name].append(time.perf_counter() - t0)
-            out.op()
-    return sum(float(np.median(t)) for t in times.values()), sessions
+            session = _compile(c)
+            self.times[c.label].append(time.perf_counter() - t0)
+            self.out.op()
+            if keep:
+                sessions[c.label] = session
+            else:
+                session.close()
+        return sessions
+
+    def between(self, r: int, rounds: int) -> None:
+        """Before measuring round ``r``: keep the repeats evenly spread."""
+        while self.repeats < 1 + (SETUP_REPEATS - 1) * r // rounds:
+            self.round()
+
+    def finish(self) -> float:
+        while self.repeats < SETUP_REPEATS:
+            self.round()
+        return sum(float(np.median(t)) for t in self.times.values())
+
+    @property
+    def repeats(self) -> int:
+        return len(self.times[self.cases[0].label])
 
 
 def _reference(program) -> np.ndarray:
@@ -185,15 +237,51 @@ def _reference(program) -> np.ndarray:
         ref.close()
 
 
-def _streams(programs, sessions, seed: int, out: Outcome) -> list:
-    streams = []
-    for i, p in enumerate(programs):
-        s = _Stream(p, sessions[p.name], _reference(p),
+def _streams(cases, sessions, seed: int, out: Outcome) -> list:
+    streams, references = [], {}
+    for i, c in enumerate(cases):
+        name = c.program.name
+        if name not in references:  # one interp reference per program
+            references[name] = _reference(c.program)
+        s = _Stream(c, sessions[c.label], references[name],
                     random.Random(seed * 1000 + i))
+        parts = []
         for _ in range(WARMUP_ADVANCES):
-            s.advance(out)
+            s.advance(out, keep=parts)
+        _check_resumed(c, parts, out)
         streams.append(s)
     return streams
+
+
+def _check_resumed(case, parts: list, out: Outcome) -> None:
+    """Resumed advances must match one ``run`` of their total on a fresh
+    session within the policy's tolerances: one operation per advance.
+    ``StreamSession.run`` promises identical values; advances that match
+    only within tolerance are reported in a line of their own."""
+    total = sum(len(x) for x in parts)
+    twin = _compile(case)
+    try:
+        whole = twin.run(total)
+    except Exception as exc:
+        out.op(False, f"{case.label} run({total}): {exc!r}")
+        return
+    finally:
+        twin.close()
+    at, inexact, worst = 0, 0, 0.0
+    for k, part in enumerate(parts):
+        want = whole[at:at + len(part)]
+        out.op(outputs_match(part, want, twin.policy),
+               f"{case.label} resumed advance {k} (outputs {at}.."
+               f"{at + len(part)}) differs from one run({total})")
+        if len(part) == len(want) and not np.array_equal(part, want):
+            inexact += 1
+            worst = max(worst, float(np.max(np.abs(part - want))))
+        at += len(part)
+    if inexact:
+        out.lines.append(
+            f"{case.label}: {inexact} of {len(parts)} resumed "
+            f"advances match one run({total}) only within tolerance, not "
+            f"bitwise (largest difference {worst:.3g})")
 
 
 def _per_output_stats(samples) -> dict:
@@ -208,29 +296,34 @@ def _per_output_stats(samples) -> dict:
     if not per_out:
         per_out.append(window_s / window_n * 1e6)
     calls = [dt * 1e3 for dt, _ in samples]
-    return {"us": quantile(per_out, 0.5), "us_p90": quantile(per_out, 0.9),
-            "ms_p50": quantile(calls, 0.5), "ms_p99": quantile(calls, 0.99),
-            "advances": len(samples),
-            "outputs": sum(n for _, n in samples)}
+    outputs = sum(n for _, n in samples)
+    return {"us": sum(dt for dt, _ in samples) / outputs * 1e6,
+            "us_p90": tail_quantile(per_out, 0.9),
+            "ms_p50": quantile(calls, 0.5),
+            "ms_p99": tail_quantile(calls, 0.99),
+            "windows": len(per_out), "advances": len(samples),
+            "outputs": outputs}
 
 
-def run(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
-    mode = workload.split("-", 1)[1]
-    programs = [PROGRAMS[name] for name in PULL_PROGRAMS[workload]]
+def run(seed: int, seconds: float, trace: bool,
+        cases=PULL_CASES) -> Outcome:
+    cases = list(cases)
     out = Outcome()
     if trace:
-        return _traced(programs, mode, seed, seconds, out)
-    setup_s, sessions = _setup(programs, mode, out)
-    streams = _streams(programs, sessions, seed, out)
-    samples = {s.program.name: [] for s in streams}
-    for s, _, deadline in _slices(streams, seconds):
-        samples[s.program.name] += _measure(s, deadline, out)
+        return _traced(cases, seed, seconds, out)
+    setup = _Setup(cases, out)
+    sessions = setup.round(keep=True)
+    streams = _streams(cases, sessions, seed, out)
+    samples = {s.name: [] for s in streams}
+    for s, _, deadline in _slices(streams, seconds, between=setup.between):
+        samples[s.name] += _measure(s, deadline, out)
+    setup_s = setup.finish()
     stats = {name: _per_output_stats(v) for name, v in samples.items()}
     for s in streams:
-        st = stats[s.program.name]
+        st = stats[s.name]
         out.lines.append(
-            f"{s.program.name} ({mode}): {st['us']:.3f} us/out median, "
-            f"{st['us_p90']:.3f} p90, {st['advances']} advances, "
+            f"{s.name}: {st['us']:.3f} us/out, {st['us_p90']:.3f} p90 of "
+            f"{st['windows']} windows, {st['advances']} advances, "
             f"{st['outputs']} outputs; plan steps: "
             f"{' '.join(step_kinds(s.session))}")
         s.session.close()
@@ -244,32 +337,32 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
     return out
 
 
-def _traced(programs, mode: str, seed: int, seconds: float,
-            out: Outcome) -> Outcome:
-    """Per-layer run: traced set-up phases, then per program a traced
+def _traced(cases, seed: int, seconds: float, out: Outcome) -> Outcome:
+    """Per-layer run: traced set-up phases, then per session a traced
     and an untraced time slice on the same session."""
-    _warm(programs, mode)
+    _warm(cases)
     tracer = Tracer()
     sessions, hit_ratio, setup_spans = {}, {}, {}
-    for p in programs:
+    for c in cases:
+        name = c.label
         per_phase: dict = {}
-        for _ in range(SETUP_REPEATS):
+        for _ in range(TRACED_SETUP_REPEATS):
             _clear_caches()
+            if name in sessions:
+                sessions[name].close()
+            gc.collect()
             first = len(tracer.spans)
-            if p.name in sessions:
-                sessions[p.name].close()
-            sessions[p.name], hit_ratio[p.name] = _compile_phases(
-                p, mode, tracer)
+            sessions[name], hit_ratio[name] = _compile_phases(c, tracer)
             out.op()
             for span in tracer.spans[first:]:
                 per_phase.setdefault(span[0], []).append(span[2] - span[1])
-        setup_spans[p.name] = {k: float(np.median(v))
-                               for k, v in per_phase.items()}
-    streams = _streams(programs, sessions, seed, out)
-    traced = {s.program.name: [] for s in streams}
-    plain = {s.program.name: [] for s in streams}
-    for s, j, deadline in _slices(streams, seconds, per_program=2):
-        name = s.program.name
+        setup_spans[name] = {k: float(np.median(v))
+                             for k, v in per_phase.items()}
+    streams = _streams(cases, sessions, seed, out)
+    traced = {s.name: [] for s in streams}
+    plain = {s.name: [] for s in streams}
+    for s, j, deadline in _slices(streams, seconds, per_session=2):
+        name = s.name
         if j == 1:  # the untraced twin of the slice before
             plain[name] += _measure(s, deadline, out)
             continue
@@ -281,20 +374,20 @@ def _traced(programs, mode: str, seed: int, seconds: float,
         tracer.unwrap_all()
     layer = {}
     for s in streams:
-        name = s.program.name
+        name = s.name
         own, wall = tracer.check_partition(name)
         if abs(own - wall) > 1e-6 * max(wall, 1e-9):
             raise RuntimeError(f"{name}: span self times sum to {own} s, "
                                f"traced wall time is {wall} s")
         layer[name] = _layer_metrics(tracer.totals(name), s.session)
-    _report_layers(programs, mode, setup_spans, hit_ratio, layer, out)
+    _report_layers(cases, setup_spans, hit_ratio, layer, out)
     out.put("trace.overhead_ratio",
             geomean([_per_output_stats(v)["us"] for v in traced.values()])
             / geomean([_per_output_stats(v)["us"] for v in plain.values()]),
             "ratio")
     out.tracers.append(tracer)
     for s in streams:
-        out.lines.append(f"{s.program.name} ({mode}) plan steps: "
+        out.lines.append(f"{s.name} plan steps: "
                          f"{' '.join(step_kinds(s.session))}")
         s.session.close()
     return out
@@ -320,46 +413,61 @@ def _layer_metrics(totals: dict, session) -> dict:
     return m
 
 
-def _report_layers(programs, mode, setup_spans, hit_ratio, layer,
+def _report_layers(cases, setup_spans, hit_ratio, layer,
                    out: Outcome) -> None:
-    for p in programs:
-        n = p.name
+    calls = {m: {g: [0, 0, 0] for g in KERNEL_GROUPS} for m in MODES}
+    for c in cases:
+        n = c.label
         sp, m = setup_spans[n], layer[n]
         out.put(f"dsl.load_s.{n}", sp.get("dsl.load", 0.0), "s")
-        out.put(f"linear.analyze_s.{n}", sp.get("linear.analyze", 0.0), "s")
-        out.put(f"selection.select_s.{n}", sp.get("selection.select", 0.0),
-                "s")
-        out.put(f"exec.optimize_s.{n}", sp.get("exec.optimize", 0.0), "s")
         out.put(f"exec.plan_build_s.{n}", sp.get("exec.plan_build", 0.0),
                 "s")
+        if c.mode == "auto":
+            analyze = sp.get("linear.analyze", 0.0)
+            select = sp.get("selection.select", 0.0)
+            out.put(f"linear.analyze_s.{n}", analyze, "s")
+            out.put(f"selection.select_s.{n}", select, "s")
+            out.put(f"exec.optimize_s.{n}", analyze + select, "s")
         out.put(f"exec.plan_cache.hit_ratio.{n}", hit_ratio[n], "ratio")
         outputs = m["outputs"]
         out.put(f"exec.schedule_us_per_output.{n}",
                 m["schedule_s"] / outputs * 1e6, "us")
         out.put(f"exec.schedule_share.{n}",
                 m["schedule_s"] / m["advance_s"], "ratio")
-        for g in KERNEL_GROUPS:
+        for g in kernel_groups(c.mode):
             k = m[g]
             out.put(f"exec.kernels.{g}_us_per_output.{n}",
                     k["wall"] / outputs * 1e6, "us")
-            out.put(f"exec.kernels.calls.{g}.{n}",
-                    k["calls"] / outputs * 1000, "calls/kout")
-            out.put(f"exec.kernels.firings_per_call.{g}.{n}",
-                    k["work"] / k["calls"] if k["calls"] else 0.0,
-                    "firings")
+            total = calls[c.mode][g]
+            total[0] += k["calls"]
+            total[1] += k["work"]
+            total[2] += outputs
         out.put(f"selection.flops_per_output.{n}", m["flops_per_output"],
                 "flops")
         out.put(f"selection.fallback_steps.{n}", m["fallback_steps"],
                 "count")
-    # equal time slices, so the workload's share is the mean share
-    label = "schedule" if mode == "auto" else "fallback kernel"
-    shares = [(layer[p.name]["schedule_s"] if mode == "auto"
-               else layer[p.name]["fallback"]["wall"])
-              / layer[p.name]["advance_s"] for p in programs]
-    share = sum(shares) / len(shares)
-    verdict = "met" if share >= SEPARATION_SHARE else "NOT MET"
-    out.lines.append(
-        f"layer split: {label} share {share:.3f} of traced advance time "
-        f"(per program: "
-        + ", ".join(f"{p.name} {s:.3f}" for p, s in zip(programs, shares))
-        + f"); expected >= {SEPARATION_SHARE}: {verdict}")
+    for mode in MODES:
+        for g in kernel_groups(mode):
+            n_calls, work, outputs = calls[mode][g]
+            out.put(f"exec.kernels.calls.{g}.{mode}",
+                    n_calls / outputs * 1000 if outputs else 0.0,
+                    "calls/kout")
+            out.put(f"exec.kernels.firings_per_call.{g}.{mode}",
+                    work / n_calls if n_calls else 0.0, "firings")
+    # equal time slices, so a mode's share is the mean over its sessions
+    for mode in MODES:
+        group = [c for c in cases if c.mode == mode]
+        if not group:
+            continue
+        label = "schedule" if mode == "auto" else "fallback kernel"
+        shares = [(layer[c.label]["schedule_s"] if mode == "auto"
+                   else layer[c.label]["fallback"]["wall"])
+                  / layer[c.label]["advance_s"] for c in group]
+        share = sum(shares) / len(shares)
+        verdict = "met" if share >= SEPARATION_SHARE else "NOT MET"
+        out.lines.append(
+            f"layer split ({mode}): {label} share {share:.3f} of traced "
+            f"advance time (per session: "
+            + ", ".join(f"{c.program.name} {s:.3f}"
+                        for c, s in zip(group, shares))
+            + f"); expected >= {SEPARATION_SHARE}: {verdict}")

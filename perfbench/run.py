@@ -2,14 +2,13 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload pull-auto --seed 1 --seconds 35
+    python3 perfbench/run.py --workload pull --seed 1 --seconds 50
 
 Workloads (see ``BENCHMARK.json`` for why each exists):
 
-* ``pull-auto`` — FIR, FilterBank, FMRadio compiled from DSL source with
-  ``optimize="auto"``, advanced with resumed ``run(n)``;
-* ``pull-none`` — FIR, FilterBank, FMRadio, Radar, Vocoder with
-  ``optimize="none"``, same advances;
+* ``pull`` — FIR, FilterBank, FMRadio compiled from DSL source with
+  ``optimize="auto"``, and FIR, FilterBank, FMRadio, Radar, Vocoder with
+  ``optimize="none"``, all advanced with resumed ``run(n)``;
 * ``serve-push`` — a ``StreamServer`` process on a unix socket and two
   closed-loop clients repeatedly opening FIR/FilterBank push sessions.
 
@@ -37,7 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 #: the benchmark's scratch space inside the checkout (git-ignored)
 STATE_DIR = os.path.join(ROOT, ".perfbench_state")
-WORKLOADS = ("pull-auto", "pull-none", "serve-push")
+WORKLOADS = ("pull", "serve-push")
 
 
 def _parse(argv):
@@ -72,7 +71,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool):
         from perfbench import serve
         return serve.run(seed, seconds, trace, state_dir=STATE_DIR)
     from perfbench import pull
-    return pull.run(workload, seed, seconds, trace)
+    return pull.run(seed, seconds, trace)
 
 
 def result_json(outcome, trace: bool) -> dict:

@@ -33,22 +33,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLIENTS = 2
 #: pushes in flight per connection
 WINDOW = 2
-#: samples pushed per session, the same samples for every session of an app
-SESSION_SAMPLES = 4096
-#: typical chunk size; draws span [CHUNK/2, 2*CHUNK].  It keeps every
-#: push well under the server's 2 ms inline threshold
-#: (``ServeConfig.inline_fast_path``): pushes near it flip between inline
-#: and worker-pool execution, and the figures with them.
-CHUNK = 128
-#: server starts in set-up; set-up time is their median
-SETUP_REPEATS = 5
+#: typical chunk size; draws span [CHUNK/2, 2*CHUNK].  The push size of
+#: ``python -m repro.bench --chunked``.  It puts each app steadily on one
+#: side of the server's 2 ms inline threshold
+#: (``ServeConfig.inline_fast_path``), so both execution paths are
+#: measured: FIR pushes cost 0.2-1 ms and run inline on the event loop,
+#: FilterBank pushes cost 1.5-10 ms and run in the worker pool.  At
+#: ``bench --serve``'s 2048, FilterBank pushes cost about 2 ms and flip
+#: between the paths with the host's speed, and the figures with them.
+CHUNK = 4096
+#: samples pushed per session, the same samples for every session of an
+#: app: two pushes per session, as ``bench --serve`` makes by default
+SESSION_SAMPLES = 2 * CHUNK
+#: server starts in set-up, half before the load and half after it, so
+#: they sample the run's start and end; set-up time is their median
+SETUP_REPEATS = 8
 #: samples of the first session compared with the interp reference,
 #: enough for each app to emit outputs past its filter latency
 REF_SAMPLES = {"FIR": 512, "FilterBank": 384}
 #: us_per_output and request_ms_p99 are medians over buckets of this many
-#: seconds that hold at least this many pushes (ten or more beyond a p99)
-BUCKET_S = 2.0
-MIN_BUCKET_PUSHES = 1000
+#: seconds (about 2000 pushes each, so twenty beyond a p99)
+BUCKET_S = 5.0
 #: traced run: length of each traced phase and of its untraced twin
 PHASE_S = 1.0
 #: seconds to wait for a server to start or to stop
@@ -222,13 +227,13 @@ def _reference(app: str, samples, out: Outcome) -> np.ndarray:
         return ref.push(samples[:REF_SAMPLES[app]])
 
 
-async def _setup(server: _ServerProcess, out: Outcome) -> float:
-    """Start the server and open each app once, ``SETUP_REPEATS`` times,
-    leaving the last server running; returns the median set-up time."""
+async def _setup(server: _ServerProcess, out: Outcome, times: list,
+                 repeats: int) -> None:
+    """Start the server and open each app once, ``repeats`` times, leaving
+    the last server running; appends each set-up time to ``times``."""
     from repro.serve import ServeClient
 
-    times = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         await server.stop()
         t0 = time.perf_counter()
         await server.start()
@@ -245,7 +250,6 @@ async def _setup(server: _ServerProcess, out: Outcome) -> float:
         finally:
             await client.close()
         times.append(setup)
-    return float(np.median(times))
 
 
 async def _first_sessions(sock: str, load: _Load) -> None:
@@ -316,7 +320,8 @@ async def _run(seed: int, seconds: float, trace: bool,
                                         f"serve-{os.getpid()}.sock"))
     server = _ServerProcess(sock)
     try:
-        setup_s = await _setup(server, out)
+        setup_times: list = []
+        await _setup(server, out, setup_times, SETUP_REPEATS // 2)
         load = _Load(seed, out)
         await _first_sessions(sock, load)
         if trace:
@@ -325,11 +330,12 @@ async def _run(seed: int, seconds: float, trace: bool,
             wall = await _phase(sock, load, seconds, None)
             pushes = [p for app in SERVE_APPS for p in load.latencies[app]]
             lat_ms = [t * 1e3 for _, t, _ in pushes]
-            buckets = [b for b in _buckets(pushes)
-                       if len(b) >= MIN_BUCKET_PUSHES]
+            buckets = [b for b in _buckets(pushes) if b]
             rates = [BUCKET_S / sum(n for _, n in b) * 1e6 for b in buckets]
             tails = [quantile([t for t, _ in b], 0.99) * 1e3 for b in buckets]
-            out.put("setup_s", setup_s, "s")
+            await _setup(server, out, setup_times,
+                         SETUP_REPEATS - len(setup_times))
+            out.put("setup_s", float(np.median(setup_times)), "s")
             out.put("us_per_output", float(np.median(rates)) if rates
                     else wall / load.outputs * 1e6, "us")
             out.put("us_per_output_p90", quantile(load.session_us, 0.9),

@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 
 from perfbench import pull, run as bench
-from perfbench.common import END_TO_END, per_layer_catalogue
+from perfbench.common import END_TO_END, PULL_CASES, per_layer_catalogue
 from perfbench.spans import Tracer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMOKE_SECONDS = 0.5
+
+
+def cases(mode):
+    return [c for c in PULL_CASES if c.mode == mode]
 
 
 @pytest.fixture(autouse=True)
@@ -52,10 +56,30 @@ def test_perturbed_output_counts_as_failure(monkeypatch):
         return out + 1e-6 if self.backend == "plan" else out
 
     monkeypatch.setattr(StreamSession, "run", perturbed)
-    out = bench.run_workload("pull-auto", seed=3, seconds=SMOKE_SECONDS,
-                             trace=False)
+    out = pull.run(seed=3, seconds=SMOKE_SECONDS, trace=False,
+                   cases=cases("auto"))
     assert out.failed > 0
     assert not bench.result_json(out, trace=False)["correct"]
+
+
+def test_resumed_state_defect_counts_as_failure(monkeypatch):
+    """A defect that shows only after a resume boundary, past the interp
+    reference prefix, is caught by the one-run comparison."""
+    from repro.session import StreamSession
+
+    plain_run = StreamSession.run
+    calls: dict = {}
+
+    def resumed_off(self, n):
+        out = plain_run(self, n)
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return out + 1e-6 if calls[id(self)] > 1 else out
+
+    monkeypatch.setattr(StreamSession, "run", resumed_off)
+    out = pull.run(seed=3, seconds=SMOKE_SECONDS, trace=False,
+                   cases=cases("none"))
+    assert any("resumed advance" in line for line in out.lines), out.lines
+    assert out.failed > 0
 
 
 def test_traced_run_removes_its_wrappers(monkeypatch):
@@ -67,13 +91,14 @@ def test_traced_run_removes_its_wrappers(monkeypatch):
         plain_wrap(self, obj, attr, name, run)
 
     monkeypatch.setattr(Tracer, "wrap", spy)
-    out = pull.run("pull-none", seed=3, seconds=SMOKE_SECONDS, trace=True)
+    out = pull.run(seed=3, seconds=SMOKE_SECONDS, trace=True)
     assert out.failed == 0, out.lines
     assert {attr for _, attr in wrapped} == {"execute", "run"}
     assert all(attr not in vars(obj) for obj, attr in wrapped)
     metrics = bench.result_json(out, trace=True)["metrics"]
     assert set(metrics) == set(per_layer_catalogue())
-    assert metrics["exec.kernels.fallback_us_per_output.Vocoder"]["value"] > 0
+    vocoder = metrics["exec.kernels.fallback_us_per_output.none.Vocoder"]
+    assert vocoder["value"] > 0
 
 
 def test_span_self_times_partition_the_root():
@@ -96,7 +121,7 @@ def test_span_self_times_partition_the_root():
 
 def test_command_line_contract(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "pull-auto",
+        [sys.executable, "perfbench/run.py", "--workload", "pull",
          "--seed", "5", "--seconds", str(SMOKE_SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -119,7 +144,7 @@ def test_fails_without_the_program(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "pull-auto",
+        [sys.executable, "perfbench/run.py", "--workload", "pull",
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
